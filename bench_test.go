@@ -431,45 +431,14 @@ func BenchmarkQueryIndexBuild(b *testing.B) {
 }
 
 // wideBenchQuery is deliberately NON-selective: every movie title is an
-// answer value, so the exact engine's per-value fail pass — the fan-out
-// unit of the parallel executor — has dozens of independent tasks. This is
-// the query where Workers>1 must pay off.
+// answer value, so the exact engine's per-value fail pass runs dozens of
+// times.
 const wideBenchQuery = `//movie/title`
-
-// BenchmarkQueryWorkers measures one cold exact evaluation across worker
-// counts on the confusing movie corpus. Answers are bit-identical for
-// every row (the determinism property test pins that); only the wall clock
-// may differ. The acceptance bar is workers=8 >= 2.5x over workers=1 on a
-// multi-core box; on fewer cores the curve flattens at NumCPU, and the
-// inline-fallback design keeps the 1-core overhead marginal.
-func BenchmarkQueryWorkers(b *testing.B) {
-	doc := planBenchDocument(b)
-	q := query.MustCompile(wideBenchQuery)
-	idx := queryindex.Build(doc)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(workers), func(b *testing.B) {
-			var nAnswers int
-			for i := 0; i < b.N; i++ {
-				res, err := query.EvalIndexed(doc, q, query.Options{
-					Method:  query.MethodExact,
-					Workers: workers,
-				}, idx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nAnswers = len(res.Answers)
-			}
-			b.ReportMetric(float64(nAnswers), "answers")
-			b.ReportMetric(float64(workers), "workers")
-		})
-	}
-}
 
 // BenchmarkQueryConcurrentClients measures the serving path under client
 // concurrency: GOMAXPROCS goroutines issuing the same query against one
-// database. After the first evaluation every request is a result-cache hit
-// on the sharded cache, so this row tracks read-side lock contention — the
-// regression guard for the single-global-mutex cache this PR replaced.
+// database. After the first evaluation every request is a result-cache hit,
+// so this row tracks read-side lock contention on the result cache.
 func BenchmarkQueryConcurrentClients(b *testing.B) {
 	doc := planBenchDocument(b)
 	db, err := imprecise.Open(doc, imprecise.Config{})
@@ -487,42 +456,6 @@ func BenchmarkQueryConcurrentClients(b *testing.B) {
 			}
 		}
 	})
-	st := db.ResultCacheStats()
-	b.ReportMetric(float64(st.Shards), "shards")
-}
-
-// BenchmarkResultCacheContention hammers the result cache from parallel
-// goroutines with a hit-heavy mix over many distinct keys — the access
-// pattern of a busy server. Sub-benchmarks compare a sharded cache against
-// a single-shard one of the same capacity, so the sharding payoff (and any
-// regression back toward a global lock) is one ratio in BENCH_query.json.
-func BenchmarkResultCacheContention(b *testing.B) {
-	res := query.Result{Method: query.MethodExact}
-	for _, cfg := range []struct {
-		name string
-		cap  int
-	}{
-		{"sharded", 1024},
-		{"single", 32}, // below the sharding threshold: one global lock
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			c := query.NewResultCache(cfg.cap)
-			const keys = 24
-			for i := 0; i < keys; i++ {
-				c.Put(uint64(i), wideBenchQuery, query.Options{}, res)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, ok := c.Get(uint64(i%keys), wideBenchQuery, query.Options{}); !ok {
-						c.Put(uint64(i%keys), wideBenchQuery, query.Options{}, res)
-					}
-					i++
-				}
-			})
-		})
-	}
 }
 
 // --- micro benchmarks of the core machinery ---
@@ -698,12 +631,10 @@ func BenchmarkStoreSaveLoad(b *testing.B) {
 
 // BenchmarkSnapshotLoad measures store.Load over every snapshot layout
 // recovery can meet, on a datagen movie document: the v5 arena document
-// via mmap (the default), the same v5 directory with mmap disabled (the
-// read-whole fallback), a hand-written v4 directory (the self-contained
-// frame the previous release saved), and the v3 marker-XML escape
-// hatch. Load is the recovery and replica-bootstrap hot path; the
-// allocation column of the mmap row against the v4 row is the zero-copy
-// payoff.
+// (the default), a hand-written v4 directory (the self-contained frame
+// the previous release saved), and the v3 marker-XML escape hatch. Load
+// is the recovery and replica-bootstrap hot path; the allocation column
+// of the v5 row against the v4 row is the zero-copy payoff.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	doc := planBenchDocument(b)
 	saveCurrent := func(enc string) func(*testing.B, string) {
@@ -741,12 +672,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, row := range []struct {
 		name string
 		prep func(*testing.B, string)
-		opts store.LoadOptions
 	}{
-		{"v5-mmap", saveCurrent(store.EncodingBinary), store.LoadOptions{}},
-		{"v5-read", saveCurrent(store.EncodingBinary), store.LoadOptions{DisableMMap: true}},
-		{"v4", saveV4, store.LoadOptions{}},
-		{"v3-xml", saveCurrent(store.EncodingXML), store.LoadOptions{}},
+		{"v5", saveCurrent(store.EncodingBinary)},
+		{"v4", saveV4},
+		{"v3-xml", saveCurrent(store.EncodingXML)},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			dir := b.TempDir()
@@ -754,7 +683,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := store.LoadWith(dir, row.opts); err != nil {
+				if _, err := store.Load(dir); err != nil {
 					b.Fatal(err)
 				}
 			}

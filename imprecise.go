@@ -296,8 +296,6 @@ func EvalQueryIndexed(t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (Qu
 // budgets: evaluation aborts when ctx is canceled, and when
 // QueryOptions.TimeBudget or MaxNodeVisits runs out it returns
 // ErrQueryBudgetExhausted with the plan's BudgetExhausted flag set.
-// QueryOptions.Workers fans evaluation out over a bounded worker pool;
-// answers are bit-identical for every worker count.
 func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptions, idx *QueryIndex) (QueryResult, error) {
 	return query.EvalIndexedCtx(ctx, t, q, opts, idx)
 }
@@ -306,8 +304,8 @@ func EvalQueryIndexedCtx(ctx context.Context, t *Tree, q *Query, opts QueryOptio
 // or node-visit budget.
 var ErrQueryBudgetExhausted = query.ErrBudgetExhausted
 
-// QueryExecStats reports how one evaluation ran: resolved worker count,
-// pool scheduling, and the budget meter reading.
+// QueryExecStats reports how one evaluation ran: the budget meter
+// reading.
 type QueryExecStats = query.ExecStats
 
 // ExpectedCount returns the expected number of result nodes of the query

@@ -84,9 +84,6 @@ type Options struct {
 	// escape hatch for data dirs that must stay readable by pre-strtab
 	// builds, and the bench baseline. Reading handles both regardless.
 	DisableWALStrTab bool
-	// DisableMMap forces snapshot loads onto the read-whole-file path
-	// instead of mmap (store.LoadOptions.DisableMMap).
-	DisableMMap bool
 	// Logger receives recovery and compaction notes; nil disables.
 	Logger *log.Logger
 }
@@ -226,7 +223,7 @@ func (c *Catalog) openDB(name string, seedEpoch uint64) (*DB, error) {
 		return nil, statErr
 	}
 	if statErr == nil {
-		snap, err := store.LoadWith(snapshot, store.LoadOptions{DisableMMap: c.opts.DisableMMap})
+		snap, err := store.Load(snapshot)
 		if err != nil {
 			return nil, err
 		}

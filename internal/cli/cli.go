@@ -219,7 +219,6 @@ func runQuery(args []string, w io.Writer) error {
 	samples := fs.Int("samples", 0, "Monte-Carlo samples when sampling is used")
 	seed := fs.Int64("seed", 1, "sampling seed")
 	method := fs.String("method", "auto", "evaluation method: auto | exact | enumerate | sample")
-	workersN := fs.Int("workers", 0, "evaluation worker goroutines (0 = all CPUs, 1 = sequential; answers are identical either way)")
 	explainPlan := fs.Bool("explain", false, "print the evaluation plan")
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
@@ -232,7 +231,6 @@ func runQuery(args []string, w io.Writer) error {
 		Method:  query.Method(*method),
 		Samples: *samples,
 		Seed:    query.SeedPtr(*seed),
-		Workers: *workersN,
 	}
 	if err := opts.Validate(); err != nil {
 		return err // already prefixed "query: invalid options: …"
@@ -270,8 +268,8 @@ func runQuery(args []string, w io.Writer) error {
 }
 
 func printPlan(w io.Writer, pl *query.Plan) {
-	fmt.Fprintf(w, "plan:   method=%s indexed=%v pruned=%.0f%% worlds=%s workers=%d\n",
-		pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds, pl.Workers)
+	fmt.Fprintf(w, "plan:   method=%s indexed=%v pruned=%.0f%% worlds=%s\n",
+		pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds)
 	if pl.BudgetExhausted {
 		fmt.Fprintf(w, "        budget exhausted before completion\n")
 	}
@@ -440,13 +438,11 @@ func runServe(args []string, w io.Writer) error {
 	cacheSize := fs.Int("query-cache", 0, "compiled-query LRU cache capacity (0 = default)")
 	resultCacheSize := fs.Int("result-cache", 0, "evaluated-result LRU cache capacity (0 = default)")
 	workers := fs.Int("workers", 0, "integration worker goroutines (0 = all CPUs, 1 = sequential)")
-	queryWorkers := fs.Int("query-workers", 0, "per-query evaluation worker goroutines (0 = all CPUs, 1 = sequential; override per request with ?workers=)")
 	queryBudget := fs.Duration("query-budget", 0, "per-query wall-clock budget (0 = unlimited; exhausted queries return 408 with budget_exhausted)")
 	ingestQueue := fs.Int("ingest-queue", 0, "async ingest queue depth per database (0 disables POST /integrate?async=1)")
 	memoEntries := fs.Int("memo-entries", 0, "cross-call integration memo entry cap (0 = default, negative disables the memo)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 	wireCompression := fs.Bool("wire-compression", true, "offer/accept flate-compressed replication pages on the binary wire (both roles)")
-	storeMMap := fs.Bool("store-mmap", true, "mmap v5 snapshot documents on load (false forces the read-whole fallback; with -data)")
 	quiet := fs.Bool("quiet", false, "disable the per-request log")
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
@@ -470,9 +466,6 @@ func runServe(args []string, w io.Writer) error {
 	if *ingestQueue < 0 {
 		return errors.New("serve: -ingest-queue must be >= 0")
 	}
-	if *queryWorkers < 0 {
-		return errors.New("serve: -query-workers must be >= 0")
-	}
 	if *queryBudget < 0 {
 		return errors.New("serve: -query-budget must be >= 0")
 	}
@@ -480,7 +473,7 @@ func runServe(args []string, w io.Writer) error {
 		Schema:          schema,
 		Rules:           rules,
 		Integration:     integrate.Config{Workers: *workers},
-		Query:           query.Options{Workers: *queryWorkers, TimeBudget: *queryBudget},
+		Query:           query.Options{TimeBudget: *queryBudget},
 		QueryCacheSize:  *cacheSize,
 		ResultCacheSize: *resultCacheSize,
 		MemoEntries:     *memoEntries,
@@ -506,7 +499,6 @@ func runServe(args []string, w io.Writer) error {
 		SegmentBytes: *walSegBytes,
 		WALEncoding:  *walEncoding,
 		CompactEvery: *compactEvery,
-		DisableMMap:  !*storeMMap,
 		Logger:       logger,
 	}
 	if *replicaOf != "" {
@@ -718,12 +710,10 @@ func runDBCmd(args []string, w io.Writer) error {
 			ms.Entries, plural(ms.Entries, "y", "ies"), ms.Capacity, ms.Hits, ms.Misses, ms.Purges)
 		qs := c.QueryStats()
 		rc := c.ResultCacheStats()
-		fmt.Fprintf(w, "query exec:      %d active, %d started, %d canceled, %d budget abort(s)\n",
-			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts)
-		fmt.Fprintf(w, "query pool:      %d pooled task(s), %d inline (saturated), %d singleflight collapse(s)\n",
-			qs.PooledTasks, qs.InlineTasks, rc.Collapses)
-		fmt.Fprintf(w, "result cache:    %d/%d entr%s in %d shard(s), %d hit(s), %d miss(es)\n",
-			rc.Size, rc.Capacity, plural(rc.Size, "y", "ies"), rc.Shards, rc.Hits, rc.Misses)
+		fmt.Fprintf(w, "query exec:      %d active, %d started, %d canceled, %d budget abort(s), %d singleflight collapse(s)\n",
+			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts, rc.Collapses)
+		fmt.Fprintf(w, "result cache:    %d/%d entr%s, %d hit(s), %d miss(es)\n",
+			rc.Size, rc.Capacity, plural(rc.Size, "y", "ies"), rc.Hits, rc.Misses)
 		return nil
 	case "drop":
 		name, err := needName()

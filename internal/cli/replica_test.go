@@ -187,15 +187,13 @@ func TestServeReplicaOf(t *testing.T) {
 
 // TestServeWireCompressionOff: -wire-compression=false on the primary
 // pins every binary peer to the uncompressed wire even when the
-// follower offers deflate, and -store-mmap=false (the read-whole
-// fallback) serves the same data.
+// follower offers deflate.
 func TestServeWireCompressionOff(t *testing.T) {
 	dir := t.TempDir()
 	primaryURL, stopPrimary := startServe(t,
 		"-data", filepath.Join(dir, "primary"),
 		"-root", "addressbook",
 		"-wire-compression=false",
-		"-store-mmap=false",
 	)
 	defer stopPrimary()
 	post := func(path, ct, body string, want int) {

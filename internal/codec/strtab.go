@@ -128,8 +128,8 @@ func AppendStrTabPayload(dst []byte, base uint64, entries []string) []byte {
 
 // DecodeStrTabPayload decodes one strtab delta payload. With zeroCopy the
 // returned entries are unsafe views into payload — valid only while the
-// backing buffer lives and is never modified (an mmap'd store document, a
-// buffer pinned by the caller); without it every entry is a fresh copy.
+// backing buffer lives and is never modified (a store document read whole,
+// a buffer pinned by the caller); without it every entry is a fresh copy.
 // The declared entry count is capped against the bytes present, so forged
 // counts cannot force large allocations.
 func DecodeStrTabPayload(payload []byte, zeroCopy bool) (base uint64, entries []string, err error) {
@@ -209,8 +209,8 @@ func (r *Reader) StringTableView() []string {
 
 // unsafeString views b as a string without copying. The result is valid
 // exactly as long as b's backing array lives unmodified; zero-copy
-// decoders confine it to buffers with a pinned lifetime (mmap'd files,
-// whole-file reads retained by the decoded tree).
+// decoders confine it to buffers that are never modified afterwards
+// (whole-file reads retained by the decoded tree).
 func unsafeString(b []byte) string {
 	if len(b) == 0 {
 		return ""

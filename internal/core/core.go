@@ -147,14 +147,12 @@ type Database struct {
 	results *query.ResultCache
 
 	// Query concurrency accounting (see QueryRuntimeStats): a gauge of
-	// in-flight evaluations plus counters for early aborts and worker
-	// pool scheduling, all updated lock-free on the query path.
+	// in-flight evaluations plus counters for early aborts, all updated
+	// lock-free on the query path.
 	queryActive       atomic.Int64
 	queryStarted      atomic.Int64
 	queryCanceled     atomic.Int64
 	queryBudgetAborts atomic.Int64
-	queryPooledTasks  atomic.Int64
-	queryInlineTasks  atomic.Int64
 }
 
 // Open creates a database over an initial document.
@@ -480,10 +478,6 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 		// explain; pass the partial result through with the error.
 		return res, err
 	}
-	if outcome == query.DoExecuted {
-		db.queryPooledTasks.Add(res.Exec.PooledTasks)
-		db.queryInlineTasks.Add(res.Exec.InlineTasks)
-	}
 	if outcome != query.DoExecuted && res.Plan != nil {
 		// Flag results served without running an evaluation (a cache hit
 		// or a collapsed concurrent execution) on a copy; the cached
@@ -497,17 +491,13 @@ func (db *Database) evalCached(ctx context.Context, q *query.Query, opts query.O
 
 // QueryRuntimeStats reports query-path concurrency accounting: how many
 // evaluations are in flight right now, how many ever started, how many
-// aborted early (client cancellation vs. budget exhaustion), and how the
-// parallel executors' fan-out units were scheduled (pool goroutine vs.
-// inline on a saturated pool). Singleflight collapses live in
-// ResultCacheStats.
+// aborted early (client cancellation vs. budget exhaustion). Singleflight
+// collapses live in ResultCacheStats.
 type QueryRuntimeStats struct {
 	Active       int64 `json:"active"`
 	Started      int64 `json:"started"`
 	Canceled     int64 `json:"canceled"`
 	BudgetAborts int64 `json:"budget_aborts"`
-	PooledTasks  int64 `json:"pooled_tasks"`
-	InlineTasks  int64 `json:"inline_tasks"`
 }
 
 // QueryStats returns a snapshot of the query concurrency counters.
@@ -517,8 +507,6 @@ func (db *Database) QueryStats() QueryRuntimeStats {
 		Started:      db.queryStarted.Load(),
 		Canceled:     db.queryCanceled.Load(),
 		BudgetAborts: db.queryBudgetAborts.Load(),
-		PooledTasks:  db.queryPooledTasks.Load(),
-		InlineTasks:  db.queryInlineTasks.Load(),
 	}
 }
 

@@ -64,9 +64,8 @@ type DecodeArenaOptions struct {
 	// ZeroCopy keeps node tag/text strings as views into the input
 	// buffer instead of copies. The caller must guarantee the buffer
 	// outlives every tree that shares nodes with the decoded one and is
-	// never modified — an mmap'd store file pinned for the process
-	// lifetime, or a heap buffer the decoded strings themselves keep
-	// alive. Applies to the local table of self-contained payloads;
+	// never modified — a heap buffer the decoded strings themselves
+	// keep alive. Applies to the local table of self-contained payloads;
 	// shared-table payloads inherit whatever lifetime opts.Strings has.
 	ZeroCopy bool
 	// ExpectDigest, when set, replaces the decode-side digest

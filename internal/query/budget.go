@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -14,21 +13,20 @@ import (
 var ErrBudgetExhausted = errors.New("query: budget exhausted")
 
 // budget threads cancellation and per-query resource ceilings through the
-// evaluators. One budget is shared by every goroutine of a parallel
-// evaluation: the visit meter is atomic, and the context/deadline checks
-// are amortized to every budgetCheckInterval steps so the hot path costs
-// one atomic add per node visit. A nil budget meters nothing (legacy
-// entry points).
+// evaluators. The context/deadline checks are amortized to every
+// budgetCheckInterval steps so the hot path costs one add per node visit.
+// A budget belongs to one evaluation on one goroutine. A nil budget
+// meters nothing (legacy entry points).
 type budget struct {
 	ctx       context.Context
 	deadline  time.Time // zero = no wall-clock ceiling
 	maxVisits int64     // 0 = no visit ceiling
-	visits    atomic.Int64
+	visits    int64
 }
 
 const budgetCheckInterval = 256
 
-// newBudget builds the shared meter for one evaluation. ctx may be nil.
+// newBudget builds the meter for one evaluation. ctx may be nil.
 func newBudget(ctx context.Context, opts Options) *budget {
 	b := &budget{ctx: ctx, maxVisits: opts.MaxNodeVisits}
 	if opts.TimeBudget > 0 {
@@ -46,7 +44,8 @@ func (b *budget) step() error {
 	if b == nil {
 		return nil
 	}
-	v := b.visits.Add(1)
+	b.visits++
+	v := b.visits
 	if b.maxVisits > 0 && v > b.maxVisits {
 		return fmt.Errorf("%w: node-visit budget %d exceeded", ErrBudgetExhausted, b.maxVisits)
 	}
@@ -69,5 +68,5 @@ func (b *budget) spent() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.visits.Load()
+	return b.visits
 }

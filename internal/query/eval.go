@@ -43,14 +43,24 @@ type Result struct {
 	// Plan explains how the engine chose the strategy. Nil when the
 	// result was produced without the planner (legacy Eval paths).
 	Plan *Plan
-	// Exec reports how the evaluation ran (worker fan-out, pool
-	// saturation, budget meter). Zero for legacy paths and cache hits
-	// served without re-execution.
+	// Exec reports how much work the evaluation metered. Zero for legacy
+	// paths and cache hits served without re-execution.
 	Exec ExecStats
 
 	// lookup is the lazily built value -> probability map behind P.
 	// It is a pointer so that copies of the Result share one map build.
 	lookup *valueLookup
+}
+
+// ExecStats reports how one evaluation ran. Attached to every Result
+// produced by EvalIndexed.
+type ExecStats struct {
+	// PooledTasks and InlineTasks are always 0: evaluation is sequential.
+	// They are kept only because the end-to-end benchmark reads them.
+	PooledTasks, InlineTasks int64
+	// NodeVisits is the budget meter reading: node visits plus enumerated
+	// worlds plus drawn samples.
+	NodeVisits int64
 }
 
 type valueLookup struct {
@@ -124,13 +134,6 @@ type Options struct {
 	// pointing at any value — including 0 — requests exactly that seed.
 	// Build it with SeedPtr.
 	Seed *int64
-	// Workers caps the goroutines one evaluation may fan out over (exact
-	// local enumeration and per-value failure passes, sampling chunks).
-	// 0 means GOMAXPROCS; 1 is fully sequential. Answers are bit-identical
-	// for every worker count, so Workers is not part of the result-cache
-	// key. Negative values are rejected by Validate. Honored by the
-	// planned engine (EvalIndexed); the reference Eval stays sequential.
-	Workers int
 	// TimeBudget bounds evaluation wall-clock time; 0 means unlimited.
 	// Exhaustion surfaces as ErrBudgetExhausted with Plan.BudgetExhausted
 	// set. Negative values are rejected by Validate.
@@ -169,10 +172,6 @@ func (o Options) Validate() error {
 	if o.LocalWorldLimit < 0 {
 		return fmt.Errorf("%w: LocalWorldLimit must be >= 0 (0 means default %d), got %d",
 			ErrBadOptions, DefaultLocalWorldLimit, o.LocalWorldLimit)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: Workers must be >= 0 (0 means one per CPU), got %d",
-			ErrBadOptions, o.Workers)
 	}
 	if o.TimeBudget < 0 {
 		return fmt.Errorf("%w: TimeBudget must be >= 0 (0 means unlimited), got %s",
@@ -305,68 +304,51 @@ const sampleChunkSize = 512
 
 // EvalSample estimates answer probabilities from n sampled worlds using
 // the given seed. The estimate's standard error is ≈ sqrt(p(1−p)/n).
-//
-// The sample stream is organized as fixed chunks of sampleChunkSize worlds
-// whose RNGs derive from (seed, chunk index) via mixSeed, and per-chunk
-// estimates merge in chunk order — so the result for a given (n, seed) is
-// bit-identical no matter how many workers run the chunks.
 func EvalSample(t *pxml.Tree, q *Query, n int, seed int64) []Answer {
-	answers, _ := evalSampleWorkers(t, q, n, seed, 1, nil, nil)
+	answers, _ := evalSample(t, q, n, seed, nil)
 	return answers
 }
 
-// evalSampleWorkers runs the chunked sampler with a worker-pool fan-out.
-// Each chunk owns its RNG and accumulator map; chunks are merged
-// sequentially in chunk order, so every per-value float sum happens in the
-// same order regardless of which worker ran which chunk.
-func evalSampleWorkers(t *pxml.Tree, q *Query, n int, seed int64, workers int, b *budget, ex *ExecStats) ([]Answer, error) {
+// evalSample is EvalSample with the budget meter: one step per drawn
+// sample. The sample stream is organized as fixed chunks of
+// sampleChunkSize worlds whose RNGs derive from (seed, chunk index) via
+// mixSeed; each chunk accumulates into its own map and the chunk maps
+// merge in chunk order, so a given (n, seed) always yields the same
+// floats.
+func evalSample(t *pxml.Tree, q *Query, n int, seed int64, b *budget) ([]Answer, error) {
 	if n <= 0 {
 		n = defaultSamples
 	}
-	chunks := (n + sampleChunkSize - 1) / sampleChunkSize
-	accs := make([]map[string]float64, chunks)
-	errs := make([]error, chunks)
 	inc := 1 / float64(n)
-	tasks := make([]func(), chunks)
-	for ci := range tasks {
-		ci := ci
-		tasks[ci] = func() {
-			count := sampleChunkSize
-			if rem := n - ci*sampleChunkSize; rem < count {
-				count = rem
-			}
-			rng := rand.New(rand.NewSource(mixSeed(seed, ci)))
-			acc := make(map[string]float64)
-			for i := 0; i < count; i++ {
-				if err := b.step(); err != nil {
-					errs[ci] = err
-					return
-				}
-				w := worlds.Sample(t, rng)
-				for v := range EvalWorld(q, w.Elements) {
-					acc[v] += inc
-				}
-			}
-			accs[ci] = acc
-		}
-	}
-	pool := newTaskPool(workers)
-	pool.runAll(tasks)
-	if ex != nil {
-		ex.PooledTasks, ex.InlineTasks = pool.counts()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	acc := make(map[string]float64)
-	for _, m := range accs {
-		for v, p := range m {
+	for ci := 0; ci*sampleChunkSize < n; ci++ {
+		count := min(sampleChunkSize, n-ci*sampleChunkSize)
+		rng := rand.New(rand.NewSource(mixSeed(seed, ci)))
+		chunk := make(map[string]float64)
+		for i := 0; i < count; i++ {
+			if err := b.step(); err != nil {
+				return nil, err
+			}
+			w := worlds.Sample(t, rng)
+			for v := range EvalWorld(q, w.Elements) {
+				chunk[v] += inc
+			}
+		}
+		for v, p := range chunk {
 			acc[v] += p
 		}
 	}
 	return mapToAnswers(acc), nil
+}
+
+// mixSeed derives the RNG seed of sample chunk i from the user seed with a
+// splitmix64 finalizer: chunk streams are statistically independent yet a
+// pure function of (seed, chunk).
+func mixSeed(seed int64, chunk int) int64 {
+	z := uint64(seed) + uint64(chunk+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return int64(z ^ (z >> 31))
 }
 
 func mapToAnswers(acc map[string]float64) []Answer {

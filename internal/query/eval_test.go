@@ -1,13 +1,16 @@
 package query_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/pxml"
 	"repro/internal/pxmltest"
 	"repro/internal/query"
+	"repro/internal/queryindex"
 	"repro/internal/xmlcodec"
 )
 
@@ -214,6 +217,57 @@ func TestSamplingConvergesToExact(t *testing.T) {
 	}
 	sampled := query.EvalSample(tr, q, 30000, 42)
 	compareAnswers(t, "sampling", sampled, exact, 0.02)
+
+	trees := propertyTrees(t)
+	for _, pin := range sampledPins {
+		tr := trees[pin.tree]
+		q := query.MustCompile(pin.src)
+		label := fmt.Sprintf("tree %d %s", pin.tree, pin.src)
+		res, err := query.EvalIndexed(tr, q, query.Options{
+			Method: query.MethodSample, Samples: 600, Seed: query.SeedPtr(7),
+		}, queryindex.Build(tr))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !reflect.DeepEqual(res.Answers, pin.want) {
+			t.Fatalf("%s: sampled answers changed\n got: %v\nwant: %v", label, res.Answers, pin.want)
+		}
+		exact, err := query.EvalExact(tr, q, 0)
+		if err != nil {
+			t.Fatalf("%s: EvalExact: %v", label, err)
+		}
+		// 4 sigma at p=0.5 with 600 samples.
+		compareAnswers(t, label, res.Answers, exact, 0.082)
+	}
+}
+
+// sampledPins are the MethodSample answers for Samples: 600, Seed: 7 on
+// two propertyTrees documents, as float literals. They pin the chunked
+// seeding of the sampler bit for bit: a change to the chunk size, the
+// per-chunk seed derivation or the chunk merge order changes them.
+var sampledPins = []struct {
+	tree int
+	src  string
+	want []query.Answer
+}{
+	{0, `//movie/director`, []query.Answer{
+		{Value: "Almeida, Sofia", P: 1.0000000000000062},
+		{Value: "Benedetti, Marco", P: 1.0000000000000062},
+		{Value: "Lindqvist, Ava", P: 1.0000000000000062},
+		{Value: "Sofia Almeida", P: 0.9533333333333386},
+		{Value: "Ava Lindqvist", P: 0.7883333333333351},
+		{Value: "Marco Benedetti", P: 0.778333333333335},
+	}},
+	{7, `//a/b`, []query.Answer{
+		{Value: "1111 x", P: 0.4466666666666658},
+		{Value: "John", P: 0.43499999999999933},
+		{Value: "John John y", P: 0.28833333333333394},
+		{Value: "1111", P: 0.19500000000000006},
+		{Value: "1111 y x", P: 0.1283333333333332},
+		{Value: "1111 1111", P: 0.07166666666666661},
+		{Value: "1111 1111 John", P: 0.02666666666666667},
+		{Value: "1111 1111 1111 y", P: 0.021666666666666667},
+	}},
 }
 
 func TestEvalFallsBackToSampling(t *testing.T) {

@@ -41,9 +41,6 @@ type Plan struct {
 	// CacheHit is set by the database layer when the result was served
 	// from the result cache.
 	CacheHit bool `json:"cache_hit"`
-	// Workers is the resolved fan-out width the executor ran with
-	// (Options.Workers with 0 resolved to GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// BudgetExhausted is set when evaluation aborted on a per-query
 	// budget (Options.TimeBudget / Options.MaxNodeVisits); the result
 	// carrying it is partial and arrives alongside ErrBudgetExhausted.
@@ -225,8 +222,6 @@ func EvalIndexed(t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (R
 // ErrBudgetExhausted when Options.TimeBudget or Options.MaxNodeVisits runs
 // out. On a budget abort the returned Result still carries the Plan, with
 // BudgetExhausted set, so `explain` can show what was attempted.
-// Options.Workers fans the exact and sampling executors out over a bounded
-// worker pool; answers are bit-identical for every worker count.
 func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, idx *queryindex.Index) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -235,7 +230,6 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		idx = nil
 	}
 	b := newBudget(ctx, opts)
-	workers := opts.workers()
 
 	if m := opts.method(); m != MethodAuto {
 		pl := Plan{
@@ -247,7 +241,7 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		if idx != nil {
 			pl.PrunedFraction = estimatePruned(q, idx)
 		}
-		return executePlanned(t, q, opts, m, pl, workers, b)
+		return executePlanned(t, q, opts, m, pl, b)
 	}
 
 	pl := planAuto(t, q, opts, idx)
@@ -259,9 +253,9 @@ func EvalIndexedCtx(ctx context.Context, t *pxml.Tree, q *Query, opts Options, i
 		return newResult(make([]Answer, 0), pl.Method, sampled, &pl), nil
 	}
 	if idx == nil {
-		return executeLadder(t, q, opts, pl, workers, b)
+		return executeLadder(t, q, opts, pl, b)
 	}
-	return executePlanned(t, q, opts, pl.Method, pl, workers, b)
+	return executePlanned(t, q, opts, pl.Method, pl, b)
 }
 
 // failedResult wraps an executor error: budget aborts keep the Plan (with
@@ -277,12 +271,11 @@ func failedResult(pl Plan, m Method, err error) (Result, error) {
 }
 
 // executePlanned runs exactly the given method with the planned executor.
-func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, workers int, b *budget) (Result, error) {
+func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, b *budget) (Result, error) {
 	pl.Method = m
-	pl.Workers = workers
 	switch m {
 	case MethodExact:
-		answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, workers, b)
+		answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
@@ -291,7 +284,7 @@ func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, wor
 			pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits)", e.prunedSubtrees, e.visited)
 		}
 		res := newResult(answers, MethodExact, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: b.spent()}
+		res.Exec = ExecStats{NodeVisits: b.spent()}
 		return res, nil
 	case MethodEnumerate:
 		answers, err := evalEnumerate(t, q, opts.enumLimit(), b)
@@ -299,17 +292,15 @@ func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, wor
 			return failedResult(pl, m, err)
 		}
 		res := newResult(answers, MethodEnumerate, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, NodeVisits: b.spent()}
+		res.Exec = ExecStats{NodeVisits: b.spent()}
 		return res, nil
 	case MethodSample:
-		var ex ExecStats
-		answers, err := evalSampleWorkers(t, q, opts.samples(), opts.seed(), workers, b, &ex)
+		answers, err := evalSample(t, q, opts.samples(), opts.seed(), b)
 		if err != nil {
 			return failedResult(pl, m, err)
 		}
-		ex.Workers, ex.NodeVisits = workers, b.spent()
 		res := newResult(answers, MethodSample, opts.samples(), &pl)
-		res.Exec = ex
+		res.Exec = ExecStats{NodeVisits: b.spent()}
 		return res, nil
 	default:
 		return Result{}, fmt.Errorf("%w: unknown method %q", ErrBadOptions, m)
@@ -319,9 +310,8 @@ func executePlanned(t *pxml.Tree, q *Query, opts Options, m Method, pl Plan, wor
 // executeLadder is the unindexed auto path: try exact, fall back to
 // enumeration, then sampling — the planner records which rung ran so the
 // reported plan always matches the executed method.
-func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b *budget) (Result, error) {
-	pl.Workers = workers
-	answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, workers, b)
+func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, b *budget) (Result, error) {
+	answers, e, err := evalExactPlanned(t, q, opts.LocalWorldLimit, b)
 	if err == nil {
 		pl.Method = MethodExact
 		pl.Reason = "exact evaluation applicable"
@@ -329,7 +319,7 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 			pl.Reason += fmt.Sprintf(" (discovery pruned %d of %d subtree visits)", e.prunedSubtrees, e.visited)
 		}
 		res := newResult(answers, MethodExact, 0, &pl)
-		res.Exec = ExecStats{Workers: workers, PooledTasks: e.pooledTasks, InlineTasks: e.inlineTasks, NodeVisits: b.spent()}
+		res.Exec = ExecStats{NodeVisits: b.spent()}
 		return res, nil
 	}
 	if !errors.Is(err, ErrNotExact) {
@@ -342,7 +332,7 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 			pl.Method = MethodEnumerate
 			pl.Reason = fmt.Sprintf("%v; %s worlds fit the enumeration budget", exactErr, pl.EstimatedWorlds)
 			res := newResult(answers, MethodEnumerate, 0, &pl)
-			res.Exec = ExecStats{Workers: workers, NodeVisits: b.spent()}
+			res.Exec = ExecStats{NodeVisits: b.spent()}
 			return res, nil
 		}
 		if !errors.Is(err, worlds.ErrTooManyWorlds) {
@@ -352,13 +342,11 @@ func executeLadder(t *pxml.Tree, q *Query, opts Options, pl Plan, workers int, b
 	pl.Method = MethodSample
 	pl.Reason = fmt.Sprintf("%v; %s worlds exceed the enumeration budget: Monte-Carlo sampling",
 		exactErr, pl.EstimatedWorlds)
-	var ex ExecStats
-	sampled, err := evalSampleWorkers(t, q, opts.samples(), opts.seed(), workers, b, &ex)
+	sampled, err := evalSample(t, q, opts.samples(), opts.seed(), b)
 	if err != nil {
 		return failedResult(pl, MethodSample, err)
 	}
-	ex.Workers, ex.NodeVisits = workers, b.spent()
 	res := newResult(sampled, MethodSample, opts.samples(), &pl)
-	res.Exec = ex
+	res.Exec = ExecStats{NodeVisits: b.spent()}
 	return res, nil
 }

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -14,15 +12,6 @@ import (
 // DefaultResultCacheCapacity is the capacity of a ResultCache built with
 // NewResultCache(0).
 const DefaultResultCacheCapacity = 512
-
-// resultCacheShards is the lock-striping width of a sharded ResultCache.
-// Caches too small to give each shard a useful slice of capacity (fewer
-// than minShardedCapacity entries) stay unsharded, which also preserves
-// exact global LRU order for tiny caches.
-const (
-	resultCacheShards  = 16
-	minShardedCapacity = resultCacheShards * 4
-)
 
 // ResultCacheStats reports the effectiveness of a ResultCache.
 type ResultCacheStats struct {
@@ -37,8 +26,6 @@ type ResultCacheStats struct {
 	// Size is the number of cached results; Capacity the maximum before
 	// least-recently-used eviction.
 	Size, Capacity int
-	// Shards is the lock-striping width (1 for tiny caches).
-	Shards int
 }
 
 // resultKey identifies one cached evaluation: the document content (by
@@ -53,10 +40,9 @@ type resultKey struct {
 
 // optionsKey canonicalizes options into the cache key: defaults are
 // resolved first, so Options{} and an explicitly spelled-out default hit
-// the same entry. Workers and the budget fields are deliberately excluded:
-// answers are bit-identical for every worker count, and budgets only
-// decide whether an evaluation completes — so queries differing only in
-// those share one entry (and one singleflight execution).
+// the same entry. The budget fields are deliberately excluded: budgets
+// only decide whether an evaluation completes, so queries differing only
+// in them share one entry (and one singleflight execution).
 func optionsKey(o Options) string {
 	local := o.LocalWorldLimit
 	if local <= 0 {
@@ -73,20 +59,15 @@ func optionsKey(o Options) string {
 // one skips evaluation entirely for repeated queries over an unchanged
 // document.
 //
-// Internally the cache is striped over resultCacheShards independent LRU
-// shards (each with its own lock), so concurrent readers on different
-// keys no longer serialize on one mutex; and Do adds singleflight: N
-// concurrent identical cold queries run one evaluation while N−1 wait for
-// its result.
+// Do adds singleflight: N concurrent identical cold queries run one
+// evaluation while N−1 wait for its result.
 type ResultCache struct {
-	cap    int
-	shards []resultShard
-
-	// genMu orders Purge against PutIfGeneration across all shards: a
-	// conditional put holds the read side while it checks gen and
-	// inserts, so a purge (write side) can never interleave between the
-	// check and the insert.
-	genMu sync.RWMutex
+	// mu guards the LRU and gen, so PutIfGeneration checks the
+	// generation and inserts atomically with respect to Purge.
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	byKey map[resultKey]*list.Element
 	gen   uint64
 
 	// flightMu guards the in-flight evaluation table behind Do.
@@ -94,13 +75,6 @@ type ResultCache struct {
 	flights  map[resultKey]*flightCall
 
 	hits, misses, collapses atomic.Int64
-}
-
-type resultShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[resultKey]*list.Element
 }
 
 type resultEntry struct {
@@ -122,45 +96,20 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultResultCacheCapacity
 	}
-	shards := 1
-	if capacity >= minShardedCapacity {
-		shards = resultCacheShards
-	}
-	c := &ResultCache{
+	return &ResultCache{
 		cap:     capacity,
-		shards:  make([]resultShard, shards),
+		ll:      list.New(),
+		byKey:   make(map[resultKey]*list.Element, capacity),
 		flights: make(map[resultKey]*flightCall),
 	}
-	per := capacity / shards
-	for i := range c.shards {
-		c.shards[i] = resultShard{
-			cap:   per,
-			ll:    list.New(),
-			byKey: make(map[resultKey]*list.Element, per),
-		}
-	}
-	return c
-}
-
-// shardFor picks the shard of a key by hashing all three key parts — the
-// digest alone would put every query over one document in one shard.
-func (c *ResultCache) shardFor(key resultKey) *resultShard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	h := fnv.New64a()
-	io.WriteString(h, key.src)
-	io.WriteString(h, key.opts)
-	return &c.shards[(h.Sum64()^key.digest)%uint64(len(c.shards))]
 }
 
 // lookup returns the cached result for key, refreshing its LRU position.
 func (c *ResultCache) lookup(key resultKey) (Result, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.ll.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*resultEntry).res, true
 	}
 	return Result{}, false
@@ -183,23 +132,22 @@ func (c *ResultCache) Get(digest uint64, src string, opts Options) (Result, bool
 // newer value (the two are identical by determinism anyway).
 func (c *ResultCache) Put(digest uint64, src string, opts Options, res Result) {
 	key := resultKey{digest: digest, src: src, opts: optionsKey(opts)}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putLocked(key, res)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, res)
 }
 
-func (s *resultShard) putLocked(key resultKey, res Result) {
-	if el, ok := s.byKey[key]; ok {
+func (c *ResultCache) putLocked(key resultKey, res Result) {
+	if el, ok := c.byKey[key]; ok {
 		el.Value.(*resultEntry).res = res
-		s.ll.MoveToFront(el)
+		c.ll.MoveToFront(el)
 		return
 	}
-	s.byKey[key] = s.ll.PushFront(&resultEntry{key: key, res: res})
-	for s.ll.Len() > s.cap {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.byKey, oldest.Value.(*resultEntry).key)
+	c.byKey[key] = c.ll.PushFront(&resultEntry{key: key, res: res})
+	for c.ll.Len() > c.cap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.byKey, oldest.Value.(*resultEntry).key)
 	}
 }
 
@@ -208,26 +156,23 @@ func (s *resultShard) putLocked(key resultKey, res Result) {
 // the value to PutIfGeneration to avoid re-inserting an entry for a
 // document that has since been retired by a purge.
 func (c *ResultCache) Generation() uint64 {
-	c.genMu.RLock()
-	defer c.genMu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.gen
 }
 
 // PutIfGeneration stores the result only if no Purge intervened since the
 // caller observed gen — the check and the insertion are atomic under the
-// generation lock, so a slow evaluation that straddles a tree swap can
+// cache lock, so a slow evaluation that straddles a tree swap can
 // never occupy capacity with an entry for the retired document.
 func (c *ResultCache) PutIfGeneration(gen uint64, digest uint64, src string, opts Options, res Result) bool {
-	c.genMu.RLock()
-	defer c.genMu.RUnlock()
+	key := resultKey{digest: digest, src: src, opts: optionsKey(opts)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.gen != gen {
 		return false
 	}
-	key := resultKey{digest: digest, src: src, opts: optionsKey(opts)}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putLocked(key, res)
+	c.putLocked(key, res)
 	return true
 }
 
@@ -235,16 +180,11 @@ func (c *ResultCache) PutIfGeneration(gen uint64, digest uint64, src string, opt
 // calls it on every tree swap: digests already make stale hits
 // impossible, purging just stops dead entries from occupying capacity.
 func (c *ResultCache) Purge() {
-	c.genMu.Lock()
-	defer c.genMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.gen++
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.ll.Init()
-		clear(s.byKey)
-		s.mu.Unlock()
-	}
+	c.ll.Init()
+	clear(c.byKey)
 }
 
 // Do returns the cached result for the triple or computes it by calling
@@ -336,19 +276,14 @@ const (
 
 // Stats returns a snapshot of the cache counters.
 func (c *ResultCache) Stats() ResultCacheStats {
-	size := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		size += s.ll.Len()
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	size := c.ll.Len()
+	c.mu.Unlock()
 	return ResultCacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Collapses: c.collapses.Load(),
 		Size:      size,
 		Capacity:  c.cap,
-		Shards:    len(c.shards),
 	}
 }

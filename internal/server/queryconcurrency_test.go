@@ -13,32 +13,32 @@ import (
 	"repro/internal/server"
 )
 
-// TestQueryWorkersParameter: workers= selects the per-request fan-out;
-// bad values are options errors, not crashes.
-func TestQueryWorkersParameter(t *testing.T) {
+// TestQueryBudgetParameter: budget_ms values that are not a
+// non-negative millisecond count fitting a time.Duration are 400s, not
+// silently wrapped budgets.
+func TestQueryBudgetParameter(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
-	for _, w := range []string{"0", "1", "3", "8"} {
-		var resp server.QueryResponse
-		doJSON(t, "GET", ts.URL+"/query?workers="+w+"&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
-		if len(resp.Answers) != 2 {
-			t.Fatalf("workers=%s: answers = %+v, want 2", w, resp.Answers)
-		}
+	q := "&q=" + url.QueryEscape(`//person/tel`)
+	var resp server.QueryResponse
+	doJSON(t, "GET", ts.URL+"/query?budget_ms=60000"+q, "", nil, http.StatusOK, &resp)
+	if len(resp.Answers) != 2 {
+		t.Fatalf("budget_ms=60000: answers = %+v, want 2", resp.Answers)
 	}
-	doJSON(t, "GET", ts.URL+"/query?workers=-1&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?workers=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?budget_ms=-1&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?budget_ms=x&q="+url.QueryEscape(`//a`), "", nil, http.StatusBadRequest, nil)
+	for _, v := range []string{"-1", "x", "18446744073710", "9223372036855"} {
+		doJSON(t, "GET", ts.URL+"/query?budget_ms="+v+q, "", nil, http.StatusBadRequest, nil)
+	}
 }
 
-// TestQueryWorkersExplainPlan: explain surfaces the worker count that ran.
-func TestQueryWorkersExplainPlan(t *testing.T) {
+// TestQueryUnknownParameterIgnored: parameters the query route does not
+// know, such as workers=, change nothing.
+func TestQueryUnknownParameterIgnored(t *testing.T) {
 	ts, _ := newTestServer(t)
 	integrateB(t, ts)
 	var resp server.QueryResponse
-	doJSON(t, "GET", ts.URL+"/query?explain=1&workers=3&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
-	if resp.Plan == nil || resp.Plan.Workers != 3 {
-		t.Fatalf("plan = %+v, want workers=3", resp.Plan)
+	doJSON(t, "GET", ts.URL+"/query?workers=-1&q="+url.QueryEscape(`//person/tel`), "", nil, http.StatusOK, &resp)
+	if len(resp.Answers) != 2 {
+		t.Fatalf("answers = %+v, want 2", resp.Answers)
 	}
 }
 
@@ -93,8 +93,5 @@ func TestStatsQuerySection(t *testing.T) {
 	}
 	if stats.Query.Active != 0 {
 		t.Fatalf("query.active = %d, want 0", stats.Query.Active)
-	}
-	if stats.Query.CacheShards < 1 {
-		t.Fatalf("query.cache_shards = %d, want >= 1", stats.Query.CacheShards)
 	}
 }

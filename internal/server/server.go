@@ -29,10 +29,9 @@
 //	POST /integrate/batch               {"sources":["<xml>…",…]} -> per-source stats
 //	GET  /query?q=…&top=N&seed=S        ranked answers; method=auto|exact|
 //	     &method=M&samples=N&explain=1  enumerate|sample, explain=1 adds
-//	     &workers=W&budget_ms=B         the evaluation plan; workers fans
-//	                                    evaluation over W goroutines (0 =
-//	                                    all CPUs), budget_ms bounds wall
-//	                                    time (408 + budget_exhausted)
+//	     &budget_ms=B                   the evaluation plan; budget_ms
+//	                                    bounds wall time (408 +
+//	                                    budget_exhausted)
 //	POST /feedback                      {"query","value","correct"} -> event
 //	GET  /stats                         document + cache + server statistics
 //	                                    (catalog mode: + WAL/compaction)
@@ -66,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -660,20 +660,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t target) {
 		}
 		opts.Seed = query.SeedPtr(n)
 	}
-	if v := r.URL.Query().Get("workers"); v != "" {
-		// 0 means one worker per CPU; 1 forces sequential evaluation.
-		// Answers are bit-identical either way — workers only buy speed.
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "query: bad workers parameter %q", v)
-			return
-		}
-		// Negative counts reach option validation (mapped to 400 below).
-		opts.Workers = n
-	}
 	if v := r.URL.Query().Get("budget_ms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		// The upper bound keeps the conversion to a Duration from
+		// wrapping around to a tiny budget.
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 0 || n > math.MaxInt64/int64(time.Millisecond) {
 			writeError(w, http.StatusBadRequest, "query: bad budget_ms parameter %q", v)
 			return
 		}
@@ -847,26 +838,17 @@ func durabilityStats(db *catalog.DB) *DurabilityStats {
 }
 
 // StoreRuntimeStats is the process-wide zero-copy storage section of
-// /stats: how snapshot documents were opened (mmap vs read) and how
-// arena decodes ran (zero-copy string views, shared dictionaries).
+// /stats: how arena decodes ran (zero-copy string views, shared
+// dictionaries).
 type StoreRuntimeStats struct {
-	MMapLoads     uint64 `json:"mmap_loads"`
-	FallbackLoads uint64 `json:"fallback_loads"`
-	MappedFiles   uint64 `json:"mapped_files"`
-	MappedBytes   uint64 `json:"mapped_bytes"`
 	ArenaDecodes  uint64 `json:"arena_decodes"`
 	ArenaZeroCopy uint64 `json:"arena_zero_copy"`
 	ArenaShared   uint64 `json:"arena_shared"`
 }
 
 func storeRuntimeStats() *StoreRuntimeStats {
-	ss := store.StoreStats()
 	decodes, zeroCopy, shared := pxml.ArenaDecodeStats()
 	return &StoreRuntimeStats{
-		MMapLoads:     ss.MMapLoads,
-		FallbackLoads: ss.FallbackLoads,
-		MappedFiles:   ss.MappedFiles,
-		MappedBytes:   ss.MappedBytes,
 		ArenaDecodes:  decodes,
 		ArenaZeroCopy: zeroCopy,
 		ArenaShared:   shared,
@@ -913,8 +895,8 @@ type StatsResponse struct {
 	QueryCache    CacheCounters `json:"query_cache"`
 	ResultCache   CacheCounters `json:"result_cache"`
 	// Query reports query-path concurrency: in-flight evaluations,
-	// early aborts (client disconnects, budget exhaustion), singleflight
-	// collapses, and worker-pool scheduling.
+	// early aborts (client disconnects, budget exhaustion) and
+	// singleflight collapses.
 	Query QueryRuntime `json:"query"`
 	Index IndexStats   `json:"index"`
 	// Memo is the cross-call integration memo (oracle verdicts and
@@ -924,15 +906,15 @@ type StatsResponse struct {
 	Ingest core.IngestStats `json:"ingest"`
 	// WAL is present in catalog mode only.
 	WAL *DurabilityStats `json:"wal,omitempty"`
-	// Store reports process-wide zero-copy storage counters (mmap vs
-	// read loads, arena decode modes); Wire the binary replication
-	// bytes served (catalog mode).
+	// Store reports process-wide zero-copy storage counters (arena
+	// decode modes); Wire the binary replication bytes served (catalog
+	// mode).
 	Store *StoreRuntimeStats `json:"store,omitempty"`
 	Wire  *WireStats         `json:"wire,omitempty"`
 }
 
 // QueryRuntime is the /stats "query" section: concurrency accounting for
-// the parallel query path.
+// the query path.
 type QueryRuntime struct {
 	// Active is the number of evaluations in flight right now; Started
 	// counts every evaluation ever begun.
@@ -946,13 +928,6 @@ type QueryRuntime struct {
 	// SingleflightCollapses counts queries that waited on an identical
 	// in-flight evaluation instead of running their own.
 	SingleflightCollapses int64 `json:"singleflight_collapses"`
-	// PooledTasks/InlineTasks report worker-pool scheduling: fan-out
-	// units run on pool goroutines vs. inline because the pool was
-	// saturated.
-	PooledTasks int64 `json:"pooled_tasks"`
-	InlineTasks int64 `json:"inline_tasks"`
-	// CacheShards is the result cache's lock-striping width.
-	CacheShards int `json:"cache_shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
@@ -979,9 +954,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 		Canceled:              qs.Canceled,
 		BudgetAborts:          qs.BudgetAborts,
 		SingleflightCollapses: rs.Collapses,
-		PooledTasks:           qs.PooledTasks,
-		InlineTasks:           qs.InlineTasks,
-		CacheShards:           rs.Shards,
 	}
 	resp.Memo = t.core.MemoStats()
 	resp.Ingest = t.core.IngestStats()

@@ -408,8 +408,8 @@ func (s *Shell) runQuery(src string, explain bool) (query.Result, error) {
 	fmt.Fprintf(s.out, "[%s]\n", res.Method)
 	if explain && res.Plan != nil {
 		pl := res.Plan
-		fmt.Fprintf(s.out, "  plan: method=%s indexed=%v pruned=%.0f%% worlds=%s workers=%d\n",
-			pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds, pl.Workers)
+		fmt.Fprintf(s.out, "  plan: method=%s indexed=%v pruned=%.0f%% worlds=%s\n",
+			pl.Method, pl.Indexed, pl.PrunedFraction*100, pl.EstimatedWorlds)
 		if pl.AnchorTag != "" {
 			fmt.Fprintf(s.out, "  anchor: <%s> local-world bound %s\n", pl.AnchorTag, pl.AnchorWorldBound)
 		}
@@ -504,8 +504,8 @@ func (s *Shell) stats() error {
 			ms.Entries, ms.Capacity, ms.Hits, ms.Misses)
 		qs := c.QueryStats()
 		rc := c.ResultCacheStats()
-		fmt.Fprintf(s.out, "query exec: %d active, %d started, %d canceled, %d budget aborts, %d collapses, %d pooled/%d inline tasks\n",
-			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts, rc.Collapses, qs.PooledTasks, qs.InlineTasks)
+		fmt.Fprintf(s.out, "query exec: %d active, %d started, %d canceled, %d budget aborts, %d collapses\n",
+			qs.Active, qs.Started, qs.Canceled, qs.BudgetAborts, rc.Collapses)
 		if iq := c.IngestStats(); iq.Enabled || iq.Depth > 0 {
 			fmt.Fprintf(s.out, "ingest queue: %d pending (cap %d), %d accepted, %d applied, %d failed\n",
 				iq.Depth, iq.Capacity, iq.Accepted, iq.Applied, iq.Failed)

@@ -52,7 +52,7 @@ const (
 	//	    holding the pxml flat arena encoding); manifest still JSON
 	//	v5  zero-copy binary documents: a strtab frame (the document's
 	//	    interned strings) followed by a shared-table arena frame whose
-	//	    tag/text fields are indices into it. Load maps the file and
+	//	    tag/text fields are indices into it. Load reads the file and
 	//	    decodes without copying strings.
 	//
 	// Saves default to v5; SaveOptions.Encoding == "xml" writes the v3
@@ -219,7 +219,7 @@ func SaveWith(dir string, tree *pxml.Tree, schema *dtd.Schema, opts SaveOptions)
 	case "", EncodingBinary:
 		// v5: the document's strings travel once, in a strtab frame the
 		// arena frame's tag/text indices resolve against; Load decodes
-		// both zero-copy from the mapped file.
+		// both zero-copy from the file buffer.
 		var tab codec.SharedStrings
 		body := tree.AppendBinaryShared(nil, &tab)
 		doc = codec.AppendFrame(nil, codec.KindStrTab, codec.StrTabVersion, tab.AppendDelta(nil, 0))
@@ -295,14 +295,6 @@ func cleanupStale(dir string, m Manifest) {
 	}
 }
 
-// LoadOptions tunes Load.
-type LoadOptions struct {
-	// DisableMMap forces the read-whole fallback for v5 documents; the
-	// IMPRECISE_NO_MMAP environment variable (any non-empty value) does
-	// the same process-wide, so CI can exercise the fallback everywhere.
-	DisableMMap bool
-}
-
 // ReadManifest reads and parses a snapshot manifest without touching the
 // payload files — the O(manifest) stat path for listing databases.
 func ReadManifest(dir string) (Manifest, error) {
@@ -317,72 +309,9 @@ func ReadManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// Stats are the process-wide storage counters /stats surfaces.
-type Stats struct {
-	// MMapLoads and FallbackLoads count v5 document opens by path taken.
-	MMapLoads     uint64 `json:"mmap_loads"`
-	FallbackLoads uint64 `json:"fallback_loads"`
-	// MappedFiles and MappedBytes describe the currently pinned mappings.
-	MappedFiles uint64 `json:"mapped_files"`
-	MappedBytes uint64 `json:"mapped_bytes"`
-}
-
-// mappedRegistry pins every mapping for the process lifetime. Unmapping
-// would require proving no live tree holds a string view into the file,
-// and delta integration deliberately splices loaded nodes into successor
-// trees — so mappings are never released, only counted. A process maps
-// one file per database generation it loads; compaction churn is bounded
-// by snapshot cadence, not op rate.
-var mappedRegistry struct {
-	mu    sync.Mutex
-	maps  [][]byte
-	stats Stats
-}
-
-// StoreStats returns a copy of the process-wide storage counters.
-func StoreStats() Stats {
-	mappedRegistry.mu.Lock()
-	defer mappedRegistry.mu.Unlock()
-	return mappedRegistry.stats
-}
-
-// openDocument returns the document file's bytes, via mmap when allowed
-// and available, else a whole-file read. Zero-copy decoding is safe over
-// both: a mapping is pinned in mappedRegistry, and a heap buffer is kept
-// alive by the decoded strings' own interior pointers.
-func openDocument(path string, disableMMap bool) ([]byte, error) {
-	useMMap := mmapAvailable && !disableMMap && os.Getenv("IMPRECISE_NO_MMAP") == ""
-	if useMMap {
-		if data, err := mmapFile(path); err == nil {
-			mappedRegistry.mu.Lock()
-			mappedRegistry.maps = append(mappedRegistry.maps, data)
-			mappedRegistry.stats.MMapLoads++
-			mappedRegistry.stats.MappedFiles++
-			mappedRegistry.stats.MappedBytes += uint64(len(data))
-			mappedRegistry.mu.Unlock()
-			return data, nil
-		}
-		// Map failure (exotic filesystem, resource limit) degrades to the
-		// portable path, never to a load error.
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	mappedRegistry.mu.Lock()
-	mappedRegistry.stats.FallbackLoads++
-	mappedRegistry.mu.Unlock()
-	return data, nil
-}
-
 // Load reads a snapshot back, verifying the checksum and format version.
 // Every ladder rung from format v1 up is understood.
 func Load(dir string) (*Snapshot, error) {
-	return LoadWith(dir, LoadOptions{})
-}
-
-// LoadWith is Load under explicit options.
-func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -400,7 +329,7 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	}
 	var tree *pxml.Tree
 	if m.FormatVersion >= FormatVersion {
-		tree, err = loadDocumentV5(filepath.Join(dir, docFile), &m, opts)
+		tree, err = loadDocumentV5(filepath.Join(dir, docFile), &m)
 		if err != nil {
 			return nil, err
 		}
@@ -462,14 +391,15 @@ func LoadWith(dir string, opts LoadOptions) (*Snapshot, error) {
 	return snap, nil
 }
 
-// loadDocumentV5 opens and decodes a v5 document: mmap (or read) the
-// file, verify its checksum, then decode the strtab and arena frames
-// zero-copy — node strings stay views into the backing buffer. The
+// loadDocumentV5 reads and decodes a v5 document: read the whole file,
+// verify its checksum, then decode the strtab and arena frames zero-copy
+// — node strings stay views into the file buffer, which the garbage
+// collector keeps alive for as long as any of them is reachable. The
 // digest and node-count cross-checks against the manifest run inside the
 // decoder (trailer compare and its own bottom-up count), so nothing here
 // walks the tree: a v5 load allocates the node arena and little else.
-func loadDocumentV5(path string, m *Manifest, opts LoadOptions) (*pxml.Tree, error) {
-	doc, err := openDocument(path, opts.DisableMMap)
+func loadDocumentV5(path string, m *Manifest) (*pxml.Tree, error) {
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
